@@ -6,6 +6,11 @@
 //! distinct processors whose corruption interval intersects the window is
 //! at most `f`. Because the count only changes at finitely many critical
 //! times, the check is exact, not sampled.
+//!
+//! A schedule is immutable once built. Construction sorts every victim's
+//! episodes by break-in time with a running maximum of their release
+//! times, so each query costs O(log E_p) in the victim's own episode
+//! count E_p, however long the history grows.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -92,6 +97,80 @@ impl std::error::Error for ScheduleError {}
 #[derive(Debug, Clone, Default)]
 pub struct CorruptionSchedule {
     intervals: Vec<CorruptionInterval>,
+    index: VictimIndex,
+}
+
+/// Every victim's episodes sorted by break-in time, each paired with the
+/// latest release among the victim's episodes up to it (a prefix
+/// maximum).
+///
+/// A closed window `[start, end]` touches victim `p` iff one of `p`'s
+/// episodes has `from <= end` and `until > start`. The episodes with
+/// `from <= end` form a prefix of `p`'s sorted run, found by binary
+/// search, and some episode in that prefix has `until > start` iff the
+/// prefix's largest `until` does. That stays exact when one victim's
+/// episodes overlap or never end.
+#[derive(Debug, Clone, Default)]
+struct VictimIndex {
+    /// Distinct victims, ascending.
+    victims: Vec<ProcId>,
+    /// `runs[k]..runs[k + 1]` is `victims[k]`'s run in `reach`.
+    runs: Vec<usize>,
+    /// `(from, latest until so far)`, sorted by `from` within each run.
+    reach: Vec<(RealTime, RealTime)>,
+}
+
+impl VictimIndex {
+    fn new(intervals: &[CorruptionInterval]) -> Self {
+        let mut index = VictimIndex {
+            victims: Vec::new(),
+            runs: Vec::new(),
+            reach: Vec::with_capacity(intervals.len()),
+        };
+        for i in sorted_by(intervals, |iv| (iv.proc, iv.from)) {
+            let iv = &intervals[i as usize];
+            let latest = match (index.victims.last(), index.reach.last()) {
+                (Some(&p), Some(&(_, prev))) if p == iv.proc => prev.max(iv.until),
+                _ => {
+                    index.victims.push(iv.proc);
+                    index.runs.push(index.reach.len());
+                    iv.until
+                }
+            };
+            index.reach.push((iv.from, latest));
+        }
+        index.runs.push(index.reach.len());
+        index
+    }
+
+    /// Position of `proc` in `victims`, if it is ever corrupted.
+    fn slot(&self, proc: ProcId) -> Option<usize> {
+        self.victims.binary_search(&proc).ok()
+    }
+
+    /// True iff one of `proc`'s episodes intersects `[start, end]`.
+    fn touches(&self, proc: ProcId, start: RealTime, end: RealTime) -> bool {
+        let Some(k) = self.slot(proc) else {
+            return false;
+        };
+        let run = &self.reach[self.runs[k]..self.runs[k + 1]];
+        match run.partition_point(|&(from, _)| from <= end) {
+            0 => false,
+            i => run[i - 1].1 > start,
+        }
+    }
+}
+
+/// Positions of `intervals` in ascending `key` order (ties in any
+/// order), as `u32` to keep the transient index at 4 B per episode.
+fn sorted_by<K: Ord>(
+    intervals: &[CorruptionInterval],
+    key: impl Fn(&CorruptionInterval) -> K,
+) -> Vec<u32> {
+    let len = u32::try_from(intervals.len()).expect("episode count fits u32");
+    let mut order: Vec<u32> = (0..len).collect();
+    order.sort_unstable_by_key(|&i| key(&intervals[i as usize]));
+    order
 }
 
 impl CorruptionSchedule {
@@ -101,13 +180,11 @@ impl CorruptionSchedule {
     }
 
     /// Builds a schedule from explicit intervals.
-    pub fn from_intervals(intervals: Vec<CorruptionInterval>) -> Self {
-        CorruptionSchedule { intervals }
-    }
-
-    /// Adds one corruption episode.
-    pub fn push(&mut self, interval: CorruptionInterval) {
-        self.intervals.push(interval);
+    pub fn from_intervals(mut intervals: Vec<CorruptionInterval>) -> Self {
+        // Immutable from here on, so spare capacity would never be used.
+        intervals.shrink_to_fit();
+        let index = VictimIndex::new(&intervals);
+        CorruptionSchedule { intervals, index }
     }
 
     /// All episodes, in insertion order.
@@ -123,17 +200,16 @@ impl CorruptionSchedule {
 
     /// True iff `proc` is controlled at time `tau`.
     pub fn is_corrupt(&self, proc: ProcId, tau: RealTime) -> bool {
-        self.intervals
-            .iter()
-            .any(|iv| iv.proc == proc && iv.contains(tau))
+        !self.non_faulty_during(proc, tau, tau)
     }
 
     /// The set of processors controlled at time `tau`.
     pub fn corrupt_set(&self, tau: RealTime) -> BTreeSet<ProcId> {
-        self.intervals
+        self.index
+            .victims
             .iter()
-            .filter(|iv| iv.contains(tau))
-            .map(|iv| iv.proc)
+            .copied()
+            .filter(|&p| self.is_corrupt(p, tau))
             .collect()
     }
 
@@ -141,10 +217,7 @@ impl CorruptionSchedule {
     /// `[start, end]` — the "good at τ" notion of Definition 3(i) uses
     /// `[τ − Δ, τ]`.
     pub fn non_faulty_during(&self, proc: ProcId, start: RealTime, end: RealTime) -> bool {
-        !self
-            .intervals
-            .iter()
-            .any(|iv| iv.proc == proc && iv.intersects_window(start, end))
+        !self.index.touches(proc, start, end)
     }
 
     /// Exact Definition 2 check: in every window `[τ, τ+Δ]` within
@@ -154,14 +227,23 @@ impl CorruptionSchedule {
     /// only at τ = `until` (an interval stops intersecting) and
     /// τ = `from − Δ` (an interval starts intersecting), so it suffices to
     /// evaluate at those critical points (clamped to `[0, horizon]`).
+    ///
+    /// The candidates are visited in ascending order while two cursors
+    /// walk the episodes, one sorted by `from` and one by `until`. At
+    /// window `[τ, τ+Δ]` the episodes with `from <= τ+Δ` and
+    /// `until > τ` are exactly the ones that intersect it. Both sets
+    /// move one way as τ grows, so a per-victim count of intersecting
+    /// episodes is kept up to date in O(E log E) overall.
     pub fn verify_f_limited(
         &self,
         f: usize,
         big_delta: SimDuration,
         horizon: RealTime,
     ) -> Result<(), ScheduleError> {
-        let mut candidates: Vec<RealTime> = vec![RealTime::ZERO];
-        for iv in &self.intervals {
+        let ivs = &self.intervals;
+        let mut candidates: Vec<RealTime> = Vec::with_capacity(1 + 3 * ivs.len());
+        candidates.push(RealTime::ZERO);
+        for iv in ivs {
             // Window starts where this interval begins/ceases to intersect.
             let enter = iv.from - big_delta;
             if enter >= RealTime::ZERO && enter <= horizon {
@@ -172,20 +254,58 @@ impl CorruptionSchedule {
                 candidates.push(iv.until);
             }
         }
-        candidates.sort();
+        candidates.sort_unstable();
         candidates.dedup();
+
+        let by_from = sorted_by(ivs, |iv| iv.from);
+        let by_until = sorted_by(ivs, |iv| iv.until);
+        let slot = |iv: &CorruptionInterval| {
+            self.index
+                .slot(iv.proc)
+                .expect("every episode's victim is indexed")
+        };
+        let mut counts = vec![0usize; self.index.victims.len()];
+        let mut controlled_now = 0usize;
+        let (mut entered, mut left) = (0usize, 0usize);
+        let mut prev_end: Option<RealTime> = None;
         for tau in candidates {
             let end = tau + big_delta;
-            let controlled: Vec<ProcId> = {
-                let set: BTreeSet<ProcId> = self
-                    .intervals
+            // Episodes with `until <= tau` stop intersecting; only those
+            // already counted at the previous window leave the count.
+            while let Some(iv) = by_until.get(left).map(|&i| &ivs[i as usize]) {
+                if iv.until > tau {
+                    break;
+                }
+                left += 1;
+                if prev_end.is_some_and(|pe| iv.from <= pe) {
+                    let c = &mut counts[slot(iv)];
+                    *c -= 1;
+                    controlled_now -= usize::from(*c == 0);
+                }
+            }
+            // Episodes with `from <= end` start intersecting, unless they
+            // already ended.
+            while let Some(iv) = by_from.get(entered).map(|&i| &ivs[i as usize]) {
+                if iv.from > end {
+                    break;
+                }
+                entered += 1;
+                if iv.until > tau {
+                    let c = &mut counts[slot(iv)];
+                    controlled_now += usize::from(*c == 0);
+                    *c += 1;
+                }
+            }
+            prev_end = Some(end);
+            if controlled_now > f {
+                let controlled = self
+                    .index
+                    .victims
                     .iter()
-                    .filter(|iv| iv.intersects_window(tau, end))
-                    .map(|iv| iv.proc)
+                    .zip(&counts)
+                    .filter(|&(_, &c)| c > 0)
+                    .map(|(&p, _)| p)
                     .collect();
-                set.into_iter().collect()
-            };
-            if controlled.len() > f {
                 return Err(ScheduleError {
                     window_start: tau,
                     controlled,
@@ -224,7 +344,7 @@ impl CorruptionSchedule {
             "rotating churn needs n >= 2f to avoid collisions"
         );
         assert!(hold > SimDuration::ZERO, "hold must be positive");
-        let mut schedule = CorruptionSchedule::new();
+        let mut intervals = Vec::new();
         // Strictly greater than Δ so closed windows [τ, τ+Δ] can't touch
         // both the release of one victim and the break-in of the next.
         let gap = big_delta * 1.001 + SimDuration::from_secs(1e-9);
@@ -234,12 +354,12 @@ impl CorruptionSchedule {
             while start < horizon {
                 let victim = ProcId(((slot + k * f) % n) as u32);
                 let until = start + hold;
-                schedule.push(CorruptionInterval::new(victim, start, until));
+                intervals.push(CorruptionInterval::new(victim, start, until));
                 start = until + gap;
                 k += 1;
             }
         }
-        schedule
+        CorruptionSchedule::from_intervals(intervals)
     }
 
     /// Random churn, f-limited by the same slot construction but with
@@ -265,7 +385,7 @@ impl CorruptionSchedule {
             SimDuration::ZERO < min_hold && min_hold <= max_hold,
             "invalid hold range"
         );
-        let mut schedule = CorruptionSchedule::new();
+        let mut intervals = Vec::new();
         let gap_floor = big_delta * 1.001 + SimDuration::from_secs(1e-9);
         for slot in 0..f {
             // candidates for this slot: ids ≡ slot (mod f)
@@ -277,12 +397,12 @@ impl CorruptionSchedule {
                 let hold =
                     SimDuration::from_secs(rng.uniform(min_hold.as_secs(), max_hold.as_secs()));
                 let until = start + hold;
-                schedule.push(CorruptionInterval::new(victim, start, until));
+                intervals.push(CorruptionInterval::new(victim, start, until));
                 let extra = SimDuration::from_secs(rng.uniform(0.0, big_delta.as_secs()));
                 start = until + gap_floor + extra;
             }
         }
-        schedule
+        CorruptionSchedule::from_intervals(intervals)
     }
 
     /// A single corruption of `proc` during `[from, from+duration)` — the

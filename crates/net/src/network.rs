@@ -6,6 +6,8 @@
 //! This separation keeps the network model synchronous and trivially
 //! testable.
 
+use std::collections::BinaryHeap;
+
 use byzclock_sim::{DetRng, ProcId, RealTime, SimDuration};
 
 use crate::delay::DelayModel;
@@ -156,6 +158,73 @@ pub struct DelaySpike {
     pub factor: f64,
 }
 
+/// The delay-spike factor as a step function of time: the largest factor
+/// of the spikes active at `now`, or 1 when none is.
+///
+/// `steps` holds every distinct spike endpoint in ascending order, each
+/// with the factor on `[endpoint, next endpoint)`. No endpoint falls
+/// inside such a segment, so the same spikes are active throughout it;
+/// past the last endpoint every spike has ended and the factor is 1.
+/// Spikes added since the last build wait in `pending` until the next
+/// send folds them in.
+#[derive(Debug, Default)]
+struct SpikeTable {
+    pending: Vec<DelaySpike>,
+    steps: Vec<(RealTime, f64)>,
+}
+
+impl SpikeTable {
+    /// The factor at `now`, by binary search over the endpoints.
+    fn factor_at(&self, now: RealTime) -> f64 {
+        match self.steps.partition_point(|&(at, _)| at <= now) {
+            0 => 1.0,
+            i => self.steps[i - 1].1,
+        }
+    }
+
+    /// Folds `pending` into `steps` by one sweep over the endpoints. The
+    /// current steps re-enter the sweep as spikes of their own, so the
+    /// rebuilt table is the maximum over every spike ever added.
+    fn build(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut spikes = std::mem::take(&mut self.pending);
+        spikes.extend(
+            self.steps
+                .windows(2)
+                .filter(|w| w[0].1 > 1.0)
+                .map(|w| DelaySpike {
+                    from: w[0].0,
+                    until: w[1].0,
+                    factor: w[0].1,
+                }),
+        );
+        spikes.sort_unstable_by_key(|s| s.from);
+        let mut steps: Vec<(RealTime, f64)> = Vec::with_capacity(2 * spikes.len());
+        steps.extend(spikes.iter().flat_map(|s| [(s.from, 1.0), (s.until, 1.0)]));
+        steps.sort_unstable_by_key(|&(at, _)| at);
+        steps.dedup_by_key(|&mut (at, _)| at);
+        // Active spikes as (factor bits, until), largest factor on top
+        // (finite factors >= 1 order like their bit patterns); an entry
+        // whose spike has ended is dropped when it reaches the top.
+        let mut active: BinaryHeap<(u64, RealTime)> = BinaryHeap::new();
+        let mut next = spikes.iter().peekable();
+        for (at, factor) in &mut steps {
+            while let Some(s) = next.next_if(|s| s.from <= *at) {
+                active.push((s.factor.to_bits(), s.until));
+            }
+            while active.peek().is_some_and(|&(_, until)| until <= *at) {
+                active.pop();
+            }
+            *factor = active.peek().map_or(1.0, |&(bits, _)| f64::from_bits(bits));
+        }
+        steps.dedup_by(|later, earlier| later.1 == earlier.1);
+        steps.shrink_to_fit();
+        self.steps = steps;
+    }
+}
+
 /// The network fabric.
 ///
 /// Enforces the paper's Section 2.2 guarantees for honest traffic:
@@ -187,7 +256,7 @@ pub struct Network {
     stats: NetworkStats,
     loss_probability: f64,
     faults: FaultProfile,
-    spikes: Vec<DelaySpike>,
+    spikes: SpikeTable,
 }
 
 impl Network {
@@ -215,7 +284,7 @@ impl Network {
             stats: NetworkStats::default(),
             loss_probability: 0.0,
             faults: FaultProfile::default(),
-            spikes: Vec::new(),
+            spikes: SpikeTable::default(),
         }
     }
 
@@ -236,7 +305,8 @@ impl Network {
         self.faults = profile;
     }
 
-    /// Adds a transient delay spike (see [`DelaySpike`]).
+    /// Adds a transient delay spike (see [`DelaySpike`]). The factor
+    /// table is rebuilt on the next send that applies timing faults.
     ///
     /// # Panics
     ///
@@ -250,7 +320,7 @@ impl Network {
             spike.factor.is_finite() && spike.factor >= 1.0,
             "delay spike factor must be finite and >= 1"
         );
-        self.spikes.push(spike);
+        self.spikes.pending.push(spike);
     }
 
     /// Configures independent random message loss with probability `p`.
@@ -366,6 +436,7 @@ impl Network {
         now: RealTime,
         rng: &mut DetRng,
     ) -> Vec<RealTime> {
+        self.spikes.build();
         let mut times = Vec::with_capacity(1);
         let Some(at) = self.route(from, to, now, rng).delivery_time() else {
             return times;
@@ -390,12 +461,7 @@ impl Network {
             // behind traffic sent later.
             delay = rng.uniform(delay, self.delta.as_secs());
         }
-        let factor = self
-            .spikes
-            .iter()
-            .filter(|s| s.from <= now && now < s.until)
-            .map(|s| s.factor)
-            .fold(1.0, f64::max);
+        let factor = self.spikes.factor_at(now);
         if factor > 1.0 {
             delay *= factor;
             self.stats.spiked += 1;
