@@ -32,6 +32,13 @@ use crate::estimate::OffsetSample;
 use crate::params::ProtocolParams;
 use crate::wire::WireMessage;
 
+/// The exact self-estimate `(0, 0)`: Figure 1's "for each q ∈ {1..n}"
+/// includes p itself.
+const EXACT: OffsetSample = OffsetSample {
+    offset: 0.0,
+    error: 0.0,
+};
+
 /// Timers the node asks its host to arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerKind {
@@ -152,7 +159,8 @@ pub struct SyncNode {
     active: Option<ActiveRound>,
     rounds_completed: u64,
     estimation: EstimationMode,
-    /// Latest cached sample per peer (Cached mode only).
+    /// Latest cached sample per peer. Sized to `n` by
+    /// [`SyncNode::with_estimation`] in Cached mode; empty otherwise.
     cache: Vec<Option<OffsetSample>>,
     /// Send time of the in-flight cache generation.
     cache_sent_at: LocalTime,
@@ -162,14 +170,19 @@ pub struct SyncNode {
     /// so nonces are unpredictable to peers yet the whole run stays a pure
     /// function of the world seed.
     nonces: DetRng,
-    /// Collected pong samples per peer for the active round (up to
-    /// `pings_per_peer` each; the self slot stays empty and is filled with
-    /// the exact `(0, 0)` sample at completion). Owned by the node — not
-    /// the round — so steady-state rounds reuse the capacity instead of
-    /// reallocating `n` vectors every `SyncInt`.
-    samples: Vec<Vec<OffsetSample>>,
-    /// Reusable estimates buffer for round completion.
+    /// The live round state: one `(d, a)` estimate per processor, indexed
+    /// by id, with the `peer` fields set once at construction. A round
+    /// starts every peer at [`OffsetSample::TIMEOUT`] and self at the exact
+    /// `(0, 0)`; each accepted pong keeps the smaller-error sample (Section
+    /// 3.1's min-RTT filter, run as a running minimum), so completion hands
+    /// this slice to the convergence function as is.
     estimates: Vec<PeerEstimate>,
+    /// Pongs accepted per peer this round, at most `pings_per_peer`; later
+    /// ones are duplicates or forgeries and are dropped.
+    pongs: Vec<u32>,
+    /// Peers whose `pongs` count reached `pings_per_peer` this round; the
+    /// round completes early when all `n − 1` peers are full.
+    full_peers: usize,
     /// Reusable scratch for the convergence function's selection buffers.
     scratch: ConvergenceScratch,
 }
@@ -192,6 +205,11 @@ impl SyncNode {
     ) -> Self {
         assert!(id.index() < params.n(), "node id out of range");
         let n = params.n();
+        let mut estimates = Vec::with_capacity(n);
+        estimates.extend(ProcId::all(n).map(|peer| PeerEstimate {
+            peer,
+            sample: OffsetSample::TIMEOUT,
+        }));
         SyncNode {
             id,
             params,
@@ -200,15 +218,16 @@ impl SyncNode {
             active: None,
             rounds_completed: 0,
             estimation: EstimationMode::PerRound,
-            cache: vec![None; n],
+            cache: Vec::new(),
             cache_sent_at: LocalTime::ZERO,
             cache_nonce: 0,
             // Stand-alone default: derived from the id so unseeded nodes
             // still get distinct streams. Hosts override via
             // `with_nonce_seed` with a fork of their root seed.
             nonces: DetRng::seeded(0x6E6F_6E63_6500_0000 ^ (id.index() as u64 + 1)),
-            samples: vec![Vec::new(); n],
-            estimates: Vec::with_capacity(n),
+            estimates,
+            pongs: vec![0; n],
+            full_peers: 0,
             scratch: ConvergenceScratch::with_capacity(n),
         }
     }
@@ -226,12 +245,16 @@ impl SyncNode {
 
     /// Switches the estimation mode (before the node is started).
     pub fn with_estimation(mut self, mode: EstimationMode) -> Self {
-        if let EstimationMode::Cached { refresh } = mode {
-            assert!(
-                refresh > SimDuration::ZERO,
-                "cache refresh interval must be positive"
-            );
-        }
+        self.cache = match mode {
+            EstimationMode::PerRound => Vec::new(),
+            EstimationMode::Cached { refresh } => {
+                assert!(
+                    refresh > SimDuration::ZERO,
+                    "cache refresh interval must be positive"
+                );
+                vec![None; self.params.n()]
+            }
+        };
         self.estimation = mode;
         self
     }
@@ -371,14 +394,17 @@ impl SyncNode {
             nonce,
             sent_at: local_now,
         });
-        // Reuse the node-owned per-peer sample storage: clearing keeps the
-        // inner capacities, so steady-state rounds allocate nothing.
-        for slot in &mut self.samples {
-            slot.clear();
+        // Reset the running estimates in place: every peer starts timed out
+        // and "for each q ∈ {1..n}" includes p with the exact self-estimate.
+        for e in &mut self.estimates {
+            e.sample = OffsetSample::TIMEOUT;
         }
-        // Section 3.1's min-RTT refinement: k pings per peer; the replies
-        // are filtered by smallest round trip at completion. Pre-size the
-        // fan-out so a reused scratch buffer grows at most once.
+        self.estimates[self.id.index()].sample = EXACT;
+        self.pongs.fill(0);
+        self.full_peers = 0;
+        // Section 3.1's min-RTT refinement: k pings per peer; each reply
+        // is kept only if its round trip beats the peer's best so far.
+        // Pre-size the fan-out so a reused scratch buffer grows at most once.
         out.reserve((n - 1) * k + 1);
         for q in ProcId::all(n).filter(|q| *q != self.id) {
             for _ in 0..k {
@@ -434,10 +460,12 @@ impl SyncNode {
         if active.round != round || active.nonce != nonce {
             return; // wrong round or replay
         }
-        if from.index() >= self.samples.len() || from == me {
+        let i = from.index();
+        if i >= self.pongs.len() || from == me {
             return; // nonsensical sender
         }
-        if self.samples[from.index()].len() >= k {
+        let pongs = self.pongs[i] as usize;
+        if pongs >= k {
             return; // more pongs than pings: duplicate/forged
         }
         if local_now < active.sent_at {
@@ -446,14 +474,20 @@ impl SyncNode {
             return;
         }
         let sample = OffsetSample::from_ping_pong(active.sent_at, local_now, clock);
-        self.samples[from.index()].push(sample);
-        let all_full = self
-            .samples
-            .iter()
-            .enumerate()
-            .all(|(i, s)| i == me.index() || s.len() == k);
-        if all_full {
-            self.complete_round(out);
+        // The first pong always lands; a later one replaces it only with a
+        // strictly smaller error. That keeps the first of equal minima,
+        // exactly as `OffsetSample::best_of`'s `min_by` does over the whole
+        // list, so the estimate is bit-identical to filtering at the end.
+        let best = &mut self.estimates[i].sample;
+        if pongs == 0 || sample.error.total_cmp(&best.error).is_lt() {
+            *best = sample;
+        }
+        self.pongs[i] += 1;
+        if pongs + 1 == k {
+            self.full_peers += 1;
+            if self.full_peers == self.params.n() - 1 {
+                self.complete_round(out);
+            }
         }
     }
 
@@ -473,22 +507,12 @@ impl SyncNode {
         let Some(active) = self.active.take() else {
             return;
         };
-        self.estimates.clear();
-        for (i, samples) in self.samples.iter().enumerate() {
-            self.estimates.push(PeerEstimate {
-                peer: ProcId(i as u32),
-                sample: if i == self.id.index() {
-                    // "for each q ∈ {1..n}" includes p: exact self-estimate.
-                    OffsetSample {
-                        offset: 0.0,
-                        error: 0.0,
-                    }
-                } else {
-                    // min-RTT filter; TIMEOUT if no pong arrived at all
-                    OffsetSample::best_of(samples)
-                },
-            });
-        }
+        self.converge(active.round, out);
+    }
+
+    /// Applies the convergence function to `estimates` and emits the
+    /// adjustment, the round summary and the next sync alarm.
+    fn converge(&mut self, round: u64, out: &mut Vec<Output>) {
         let timeouts = self
             .estimates
             .iter()
@@ -507,7 +531,7 @@ impl SyncNode {
                 delta: SimDuration::from_secs(delta),
             },
             Output::RoundCompleted(RoundSummary {
-                round: active.round,
+                round,
                 adjustment: delta,
                 responders,
                 timeouts,
@@ -542,48 +566,12 @@ impl SyncNode {
     /// naive separate-thread pattern the paper warns about: samples may
     /// predate the node's own latest adjustments.
     fn sync_from_cache(&mut self, out: &mut Vec<Output>) {
-        self.estimates.clear();
-        for i in 0..self.params.n() {
-            self.estimates.push(PeerEstimate {
-                peer: ProcId(i as u32),
-                sample: if i == self.id.index() {
-                    OffsetSample {
-                        offset: 0.0,
-                        error: 0.0,
-                    }
-                } else {
-                    self.cache[i].unwrap_or(OffsetSample::TIMEOUT)
-                },
-            });
+        for (e, cached) in self.estimates.iter_mut().zip(&self.cache) {
+            e.sample = cached.unwrap_or(OffsetSample::TIMEOUT);
         }
-        let timeouts = self
-            .estimates
-            .iter()
-            .filter(|e| e.sample.is_timeout())
-            .count();
-        let responders = self.estimates.len() - timeouts - 1;
-        let delta = self.convergence.adjustment_scratch(
-            self.params.f(),
-            self.params.way_off(),
-            &self.estimates,
-            &mut self.scratch,
-        );
-        self.rounds_completed += 1;
-        out.extend([
-            Output::AdjustClock {
-                delta: SimDuration::from_secs(delta),
-            },
-            Output::RoundCompleted(RoundSummary {
-                round: self.round,
-                adjustment: delta,
-                responders,
-                timeouts,
-            }),
-            Output::SetTimer {
-                after: self.params.sync_int(),
-                kind: TimerKind::SyncDue,
-            },
-        ]);
+        // The cache never holds a self sample: use the exact one.
+        self.estimates[self.id.index()].sample = EXACT;
+        self.converge(self.round, out);
     }
 }
 

@@ -7,6 +7,7 @@
 //! testable.
 
 use std::collections::BinaryHeap;
+use std::ops::Deref;
 
 use byzclock_sim::{DetRng, ProcId, RealTime, SimDuration};
 
@@ -46,6 +47,45 @@ impl SendOutcome {
             SendOutcome::Delivered { at } => Some(at),
             SendOutcome::Dropped(_) => None,
         }
+    }
+}
+
+/// Every delivery instant of one fault-applying send, held inline: none
+/// (dropped), one, or two (the duplication fault fired). A `Copy` value, so
+/// a send allocates nothing; it reads as a `&[RealTime]` and iterates by
+/// value.
+#[derive(Debug, Clone, Copy)]
+pub struct Deliveries {
+    times: [RealTime; 2],
+    len: u8,
+}
+
+impl Deliveries {
+    const NONE: Deliveries = Deliveries {
+        times: [RealTime::ZERO; 2],
+        len: 0,
+    };
+
+    fn push(&mut self, at: RealTime) {
+        self.times[usize::from(self.len)] = at;
+        self.len += 1;
+    }
+}
+
+impl Deref for Deliveries {
+    type Target = [RealTime];
+
+    fn deref(&self) -> &[RealTime] {
+        &self.times[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Deliveries {
+    type Item = RealTime;
+    type IntoIter = std::iter::Take<std::array::IntoIter<RealTime, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.times.into_iter().take(usize::from(self.len))
     }
 }
 
@@ -393,7 +433,8 @@ impl Network {
 
     /// Like [`Network::send`], but with the configured fault profile and
     /// delay spikes applied: returns *every* delivery time for this send
-    /// (empty if dropped, two entries when the duplication fault fires).
+    /// (empty if dropped, two entries when the duplication fault fires),
+    /// inline in a [`Deliveries`] value.
     ///
     /// This is the entry point the runtime uses for honest traffic; with a
     /// quiet [`FaultProfile`] and no spikes it is exactly `send`.
@@ -403,7 +444,7 @@ impl Network {
         to: ProcId,
         now: RealTime,
         rng: &mut DetRng,
-    ) -> Vec<RealTime> {
+    ) -> Deliveries {
         self.fan_out(from, to, now, rng)
     }
 
@@ -422,22 +463,16 @@ impl Network {
         to: ProcId,
         now: RealTime,
         rng: &mut DetRng,
-    ) -> Vec<RealTime> {
+    ) -> Deliveries {
         self.stats.forged += 1;
         self.fan_out(claimed_from, to, now, rng)
     }
 
     /// Shared fault-applying delivery fan-out behind [`Network::send_times`]
     /// and [`Network::send_forged_times`].
-    fn fan_out(
-        &mut self,
-        from: ProcId,
-        to: ProcId,
-        now: RealTime,
-        rng: &mut DetRng,
-    ) -> Vec<RealTime> {
+    fn fan_out(&mut self, from: ProcId, to: ProcId, now: RealTime, rng: &mut DetRng) -> Deliveries {
         self.spikes.build();
-        let mut times = Vec::with_capacity(1);
+        let mut times = Deliveries::NONE;
         let Some(at) = self.route(from, to, now, rng).delivery_time() else {
             return times;
         };
@@ -641,7 +676,7 @@ mod tests {
     fn send_times_matches_send_when_quiet() {
         let mut net = mesh_net(3);
         let times = net.send_times(ProcId(0), ProcId(1), RealTime::from_secs(1.0), &mut rng());
-        assert_eq!(times, vec![RealTime::from_secs(1.0) + ms(2.0)]);
+        assert_eq!(*times, [RealTime::from_secs(1.0) + ms(2.0)]);
         // drops still yield no delivery
         let times = net.send_times(ProcId(1), ProcId(1), RealTime::ZERO, &mut rng());
         assert!(times.is_empty());
@@ -759,7 +794,7 @@ mod tests {
         let mut net = mesh_net(3);
         let now = RealTime::from_secs(1.0);
         let times = net.send_forged_times(ProcId(2), ProcId(0), now, &mut rng());
-        assert_eq!(times, vec![now + ms(2.0)]);
+        assert_eq!(*times, [now + ms(2.0)]);
         assert_eq!(net.stats().forged, 1);
     }
 

@@ -86,8 +86,8 @@ fn check_against_reference(net: &mut Network, spikes: &[DelaySpike], rng: &mut D
         let spiked_before = net.stats().spiked;
         let times = net.send_times(ProcId(0), ProcId(1), now, rng);
         assert_eq!(
-            times,
-            vec![expected_delivery(now, factor)],
+            *times,
+            [expected_delivery(now, factor)],
             "now = {now}, factor = {factor}"
         );
         assert_eq!(
@@ -143,21 +143,21 @@ fn spike_added_after_sends_rebuilds_the_table() {
     let tail = RealTime::from_secs(25.0);
     net.add_delay_spike(early);
     assert_eq!(
-        net.send_times(ProcId(0), ProcId(1), mid, &mut rng),
-        vec![expected_delivery(mid, 2.0)]
+        *net.send_times(ProcId(0), ProcId(1), mid, &mut rng),
+        [expected_delivery(mid, 2.0)]
     );
     assert_eq!(
-        net.send_times(ProcId(0), ProcId(1), tail, &mut rng),
-        vec![expected_delivery(tail, 1.0)]
+        *net.send_times(ProcId(0), ProcId(1), tail, &mut rng),
+        [expected_delivery(tail, 1.0)]
     );
     net.add_delay_spike(late);
     assert_eq!(
-        net.send_times(ProcId(0), ProcId(1), mid, &mut rng),
-        vec![expected_delivery(mid, 3.0)]
+        *net.send_times(ProcId(0), ProcId(1), mid, &mut rng),
+        [expected_delivery(mid, 3.0)]
     );
     assert_eq!(
-        net.send_forged_times(ProcId(1), ProcId(0), tail, &mut rng),
-        vec![expected_delivery(tail, 3.0)]
+        *net.send_forged_times(ProcId(1), ProcId(0), tail, &mut rng),
+        [expected_delivery(tail, 3.0)]
     );
     assert_eq!(net.stats().spiked, 3);
 }

@@ -38,8 +38,9 @@ use crate::world::{PendingTimer, World};
 
 impl Transport for World {
     /// Sends through the modeled network: `send_times` yields zero (lost),
-    /// one, or — under the chaos fault profile — several delivery
-    /// instants, each scheduled as a `Deliver` event.
+    /// one, or — when the chaos fault profile duplicates — two delivery
+    /// instants, held inline so the send allocates nothing; each is
+    /// scheduled as a `Deliver` event.
     fn send(&mut self, from: ProcId, to: ProcId, msg: WireMessage) {
         let tau = self.now();
         for at in self.network.send_times(from, to, tau, &mut self.net_rng) {

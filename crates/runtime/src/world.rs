@@ -322,13 +322,12 @@ impl World {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         let mut any = false;
-        for (i, slot) in self.nodes.iter().enumerate() {
+        for slot in &self.nodes {
             if !slot.corrupted() {
                 let b = slot.clock.bias(tau).as_secs();
                 lo = lo.min(b);
                 hi = hi.max(b);
                 any = true;
-                let _ = i;
             }
         }
         let ctx = Adversary::context(
